@@ -5,8 +5,8 @@
 //! # Serve a disk-backed model store + ranked inference on port 8077:
 //! cargo run --release --bin attack_server -- --cache-dir .model-store
 //!
-//! # Knobs: --addr HOST:PORT, --threads N (HTTP workers), --lru N
-//! # (deserialized-model cache), --inference-threads N.
+//! # Knobs: --addr HOST:PORT, --threads N (HTTP workers, one request
+//! # each), --lru N (deserialized-model cache).
 //!
 //! # Query-stream adversary detection (off by default): --detect turns it
 //! # on; --detect-window-ms N sets the scoring window, --detect-trigger N
@@ -382,11 +382,6 @@ fn main() {
         addr: value_arg(&args, "--addr").unwrap_or_else(|| "127.0.0.1:8077".to_string()),
         threads: usize_arg(&args, "--threads", ServeConfig::default().threads),
         lru_capacity: usize_arg(&args, "--lru", ServeConfig::default().lru_capacity),
-        inference_threads: usize_arg(
-            &args,
-            "--inference-threads",
-            ServeConfig::default().inference_threads,
-        ),
         detect,
     };
     let store: Arc<dyn ModelStore + Send + Sync> = match value_arg(&args, "--cache-dir") {

@@ -29,6 +29,11 @@ impl From<serde::Error> for Error {
     }
 }
 
+/// Deepest nesting of arrays and objects the parser accepts (the real
+/// `serde_json`'s recursion limit). Unbounded, a deep enough body overflows
+/// the stack and aborts the process; the workspace's documents nest ≤ 8 deep.
+const MAX_DEPTH: usize = 128;
+
 /// Result alias matching `serde_json::Result`.
 pub type Result<T> = std::result::Result<T, Error>;
 
@@ -73,6 +78,7 @@ pub fn parse_value(s: &str) -> Result<Value> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -176,6 +182,8 @@ fn write_string(s: &str, out: &mut String) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -219,11 +227,22 @@ impl Parser<'_> {
             Some(b'N') if self.eat_word("NaN") => Ok(Value::Float(f64::NAN)),
             Some(b'I') if self.eat_word("Infinity") => Ok(Value::Float(f64::INFINITY)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.seq(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::seq),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             other => Err(Error(format!("unexpected {other:?} at byte {}", self.pos))),
         }
+    }
+
+    /// Parses one array or object, at most [`MAX_DEPTH`] levels deep.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value>) -> Result<Value> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error(format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn seq(&mut self) -> Result<Value> {
@@ -393,6 +412,16 @@ mod tests {
             let back: f64 = from_str(&json).unwrap();
             assert_eq!(back.to_bits(), x.to_bits(), "{json}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse_value(&nest(MAX_DEPTH)).is_ok());
+        let err = parse_value(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("nesting"), "{err}");
+        // Deep enough to overflow the stack without the bound.
+        assert!(parse_value(&"[".repeat(200_000)).is_err());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! is selected (paper Eq. 2).
 
 use crate::dataset::{stack_batch, ImageKey, PreparedDesign};
-use crate::model::ModelKind;
+use crate::model::{AttackModel, LossKind, ModelKind};
 use crate::train::TrainedAttack;
 use deepsplit_flow::metrics::Assignment;
 use deepsplit_layout::split::FragId;
@@ -30,56 +30,43 @@ pub fn attack(trained: &TrainedAttack, prepared: &PreparedDesign) -> AttackOutco
     attack_with_threads(trained, prepared, trained.config.effective_threads())
 }
 
-/// [`attack`] with an explicit worker-thread count.
+/// [`attack`] with an explicit worker-thread count: the top-1 assignment
+/// and inference time of [`attack_ranked`].
 ///
 /// Inference is thread-count invariant (every query is scored independently
-/// and `parallel_map` preserves order), so a sweep may run a cached model
-/// with however many threads its scheduler has to spare — unlike training,
-/// where the thread count shapes gradient-accumulation order and is part of
-/// the model's identity.
+/// and shards preserve order), so a sweep may run a cached model with
+/// however many threads its scheduler has to spare — unlike training, where
+/// the thread count shapes gradient-accumulation order and is part of the
+/// model's identity.
 pub fn attack_with_threads(
     trained: &TrainedAttack,
     prepared: &PreparedDesign,
     threads: usize,
 ) -> AttackOutcome {
-    let start = Instant::now();
-    let threads = threads.max(1);
-    let use_images = trained.model.kind == ModelKind::VecImg && prepared.channels > 0;
-    let embeddings = embed_unique_images(trained, prepared, threads, use_images);
-
-    // Phase 2: score all queries.
-    let indices: Vec<usize> = (0..prepared.num_queries()).collect();
-    let shard = indices.len().div_ceil(threads).max(1);
-    let shards: Vec<&[usize]> = indices.chunks(shard).collect();
-    let picks = parallel_map(&shards, threads, |shard| {
-        let mut m = trained.model.clone();
-        let mut out: Vec<(FragId, FragId)> = Vec::with_capacity(shard.len());
-        for &qi in shard.iter() {
-            let set = &prepared.sets[qi];
-            if set.candidates.is_empty() {
-                continue;
-            }
-            let scores = query_scores(&mut m, trained, prepared, &embeddings, qi, use_images);
-            let best = scores
-                .iter()
-                .enumerate()
-                .max_by(|a, b| a.1.total_cmp(b.1).then(b.0.cmp(&a.0)))
-                .map(|(i, _)| i)
-                .unwrap_or(0);
-            out.push((set.sink, set.candidates[best].source));
-        }
-        out
-    });
-
-    let assignment: Assignment = picks.into_iter().flatten().collect();
+    let ranked = attack_ranked(trained, prepared, 1, threads);
     AttackOutcome {
-        assignment,
-        inference: start.elapsed(),
+        assignment: ranked.assignment(),
+        inference: ranked.inference,
     }
 }
 
-/// Phase 1 of inference: embed every unique virtual-pin image once (batched
-/// per worker). Empty when the model or design carries no images.
+/// Maps `f` over `items` in order on up to `threads` workers. Each worker
+/// takes one contiguous shard and clones the model once for all of it.
+fn map_sharded<T: Sync, R: Send>(
+    model: &AttackModel,
+    items: &[T],
+    threads: usize,
+    f: impl Fn(&mut AttackModel, &T) -> R + Sync,
+) -> Vec<R> {
+    let shards: Vec<&[T]> = items.chunks(items.len().div_ceil(threads).max(1)).collect();
+    let results = parallel_map(&shards, threads, |shard| {
+        let mut m = model.clone();
+        shard.iter().map(|item| f(&mut m, item)).collect::<Vec<_>>()
+    });
+    results.into_iter().flatten().collect()
+}
+
+/// Embeds every unique virtual-pin image once, in batches of 8. Empty when the model or design carries no images.
 fn embed_unique_images(
     trained: &TrainedAttack,
     prepared: &PreparedDesign,
@@ -94,20 +81,14 @@ fn embed_unique_images(
     // splint::allow(D1, "keys are sorted on the next line before any use")
     let mut keys: Vec<ImageKey> = prepared.images.keys().copied().collect();
     keys.sort_unstable();
-    let chunk = 8usize;
-    let batches: Vec<&[ImageKey]> = keys.chunks(chunk).collect();
-    let results = parallel_map(&batches, threads, |batch| {
-        let mut m = trained.model.clone();
+    let batches: Vec<&[ImageKey]> = keys.chunks(8).collect();
+    let embedded = map_sharded(&trained.model, &batches, threads, |m, batch| {
         let imgs: Vec<&Tensor> = batch.iter().map(|k| &prepared.images[k]).collect();
-        let stacked = stack_batch(&imgs);
-        let emb = m.embed_images(&stacked, false);
-        let (rows, d) = emb.dims2();
-        (0..rows)
-            .map(|r| Tensor::from_vec(&[1, d], emb.data()[r * d..(r + 1) * d].to_vec()))
-            .collect::<Vec<_>>()
+        let emb = m.embed_images(&stack_batch(&imgs), false);
+        (0..emb.dims2().0).map(|r| emb.row(r)).collect::<Vec<_>>()
     });
     keys.into_iter()
-        .zip(results.into_iter().flatten())
+        .zip(embedded.into_iter().flatten())
         .collect()
 }
 
@@ -116,7 +97,7 @@ fn embed_unique_images(
 /// two-class head. This is the argmax input — pass it through
 /// [`confidence_distribution`] before reporting values as probabilities.
 fn query_scores(
-    m: &mut crate::model::AttackModel,
+    m: &mut AttackModel,
     trained: &TrainedAttack,
     prepared: &PreparedDesign,
     embeddings: &HashMap<ImageKey, Tensor>,
@@ -126,11 +107,9 @@ fn query_scores(
     let vectors = prepared.vectors(qi, &trained.normalizer);
     let scores = if use_images {
         let (sink_key, cand_keys) = &prepared.image_keys[qi];
-        let sink_emb = embeddings[sink_key].clone();
-        let src_rows: Vec<Tensor> = cand_keys.iter().map(|k| embeddings[k].clone()).collect();
-        let src_refs: Vec<&Tensor> = src_rows.iter().collect();
-        let src = stack_rows2(&src_refs);
-        m.score_from_embeddings(&vectors, Some((&src, &sink_emb)), false)
+        let src_rows: Vec<&Tensor> = cand_keys.iter().map(|k| &embeddings[k]).collect();
+        let src = stack_batch(&src_rows);
+        m.score_from_embeddings(&vectors, Some((&src, &embeddings[sink_key])), false)
     } else {
         m.score_from_embeddings(&vectors, None, false)
     };
@@ -143,10 +122,10 @@ fn query_scores(
 /// scores are already per-candidate probabilities and are normalised to sum
 /// to one. Both transforms are strictly monotone, so the ranking they induce
 /// is exactly the raw argmax ranking.
-fn confidence_distribution(loss: crate::model::LossKind, scores: &[f32]) -> Vec<f32> {
+fn confidence_distribution(loss: LossKind, scores: &[f32]) -> Vec<f32> {
     match loss {
-        crate::model::LossKind::SoftmaxRegression => deepsplit_nn::loss::softmax(scores),
-        crate::model::LossKind::TwoClass => {
+        LossKind::SoftmaxRegression => deepsplit_nn::loss::softmax(scores),
+        LossKind::TwoClass => {
             let sum: f32 = scores.iter().sum();
             if sum > 0.0 {
                 scores.iter().map(|&p| p / sum).collect()
@@ -197,9 +176,9 @@ impl RankedOutcome {
 /// Ranked inference: scores every sink fragment's candidates and keeps the
 /// `top_k` best per sink (`0` = all), sorted by descending confidence.
 ///
-/// The ordering is total and deterministic, so the first entry of each
-/// query reproduces [`attack_with_threads`]'s pick bit-for-bit and the
-/// result is thread-count invariant like the rest of inference.
+/// This is the one inference loop; [`attack`] and [`attack_with_threads`]
+/// keep its top-1. The ordering is total and deterministic (raw score, then
+/// candidate-list position), and the result is thread-count invariant.
 pub fn attack_ranked(
     trained: &TrainedAttack,
     prepared: &PreparedDesign,
@@ -211,54 +190,36 @@ pub fn attack_ranked(
     let use_images = trained.model.kind == ModelKind::VecImg && prepared.channels > 0;
     let embeddings = embed_unique_images(trained, prepared, threads, use_images);
 
-    let indices: Vec<usize> = (0..prepared.num_queries()).collect();
-    let shard = indices.len().div_ceil(threads).max(1);
-    let shards: Vec<&[usize]> = indices.chunks(shard).collect();
-    let ranked = parallel_map(&shards, threads, |shard| {
-        let mut m = trained.model.clone();
-        let mut out: Vec<RankedQuery> = Vec::with_capacity(shard.len());
-        for &qi in shard.iter() {
-            let set = &prepared.sets[qi];
-            if set.candidates.is_empty() {
-                continue;
-            }
-            let scores = query_scores(&mut m, trained, prepared, &embeddings, qi, use_images);
-            let probs = confidence_distribution(trained.model.loss, &scores);
-            // Sort on the RAW scores with candidate-list position as the
-            // tie-break — exactly the argmax path's rule. Sorting on the
-            // normalised probabilities instead could disagree on candidates
-            // whose distinct scores round to one probability.
-            let mut order: Vec<usize> = (0..scores.len()).collect();
-            order.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]).then(a.cmp(&b)));
-            if top_k > 0 {
-                order.truncate(top_k);
-            }
-            out.push(RankedQuery {
-                sink: set.sink,
-                sink_pins: prepared.view.fragment(set.sink).sink_count,
-                ranked: order
-                    .into_iter()
-                    .map(|i| (set.candidates[i].source, probs[i]))
-                    .collect(),
-            });
+    let indices: Vec<usize> = (0..prepared.num_queries())
+        .filter(|&qi| !prepared.sets[qi].candidates.is_empty())
+        .collect();
+    let queries = map_sharded(&trained.model, &indices, threads, |m, &qi| {
+        let set = &prepared.sets[qi];
+        let scores = query_scores(m, trained, prepared, &embeddings, qi, use_images);
+        let probs = confidence_distribution(trained.model.loss, &scores);
+        // Sort on the RAW scores with candidate-list position as the
+        // tie-break. Sorting on the normalised probabilities instead could
+        // disagree on candidates whose distinct scores round to one
+        // probability.
+        let mut order: Vec<usize> = (0..scores.len()).collect();
+        order.sort_by(|&a, &b| scores[b].total_cmp(&scores[a]).then(a.cmp(&b)));
+        if top_k > 0 {
+            order.truncate(top_k);
         }
-        out
+        RankedQuery {
+            sink: set.sink,
+            sink_pins: prepared.view.fragment(set.sink).sink_count,
+            ranked: order
+                .into_iter()
+                .map(|i| (set.candidates[i].source, probs[i]))
+                .collect(),
+        }
     });
 
     RankedOutcome {
-        queries: ranked.into_iter().flatten().collect(),
+        queries,
         inference: start.elapsed(),
     }
-}
-
-/// Stacks `[1, d]` rows into `[n, d]`.
-fn stack_rows2(parts: &[&Tensor]) -> Tensor {
-    let d = parts[0].dims2().1;
-    let mut data = Vec::with_capacity(parts.len() * d);
-    for p in parts {
-        data.extend_from_slice(p.data());
-    }
-    Tensor::from_vec(&[parts.len(), d], data)
 }
 
 #[cfg(test)]
@@ -381,24 +342,35 @@ mod tests {
 
     #[test]
     fn ranked_truncates_to_top_k() {
-        let config = tiny(false);
-        let train_d = vec![prepared(Benchmark::C880, 3, &config)];
-        let (trained, _) = train(&train_d, &config);
-        let victim = prepared(Benchmark::C432, 4, &config);
-        let full = attack_ranked(&trained, &victim, 0, 2);
-        let top2 = attack_ranked(&trained, &victim, 2, 2);
-        assert_eq!(full.queries.len(), top2.queries.len());
-        for (f, t) in full.queries.iter().zip(&top2.queries) {
-            assert!(t.ranked.len() <= 2);
-            assert_eq!(
-                &f.ranked[..t.ranked.len()],
-                &t.ranked[..],
-                "top-k must be a prefix of the full ranking"
-            );
+        for use_images in [false, true] {
+            let config = AttackConfig {
+                epochs: 2,
+                ..tiny(use_images)
+            };
+            let train_d = vec![prepared(Benchmark::C880, 3, &config)];
+            let (trained, _) = train(&train_d, &config);
+            let victim = prepared(Benchmark::C432, 4, &config);
+            let full = attack_ranked(&trained, &victim, 0, 2);
+            let top2 = attack_ranked(&trained, &victim, 2, 2);
+            assert_eq!(full.queries.len(), top2.queries.len());
+            for (f, t) in full.queries.iter().zip(&top2.queries) {
+                assert!(t.ranked.len() <= 2);
+                assert_eq!(
+                    &f.ranked[..t.ranked.len()],
+                    &t.ranked[..],
+                    "top-k must be a prefix of the full ranking"
+                );
+            }
+            // Thread-count invariance extends to the full ranking on both
+            // paths (the wall clock obviously varies, the queries must not).
+            for threads in [1, 7] {
+                let other = attack_ranked(&trained, &victim, 0, threads);
+                assert_eq!(
+                    full.queries, other.queries,
+                    "images={use_images}, threads={threads}"
+                );
+            }
         }
-        // Thread-count invariance extends to the full ranking (the wall
-        // clock obviously varies, the queries must not).
-        assert_eq!(full.queries, attack_ranked(&trained, &victim, 0, 7).queries);
     }
 
     #[test]

@@ -160,9 +160,6 @@ pub struct AttackModel {
     fc6: Linear,
     act6: LeakyRelu,
     fc7: Linear,
-    // Backward bookkeeping.
-    #[serde(skip)]
-    cache_n: usize,
 }
 
 impl AttackModel {
@@ -201,7 +198,6 @@ impl AttackModel {
             fc6: Linear::new(128, 32, &mut init),
             act6: LeakyRelu::new(),
             fc7: Linear::new(32, out_dim, &mut init),
-            cache_n: 0,
         }
     }
 
@@ -227,7 +223,6 @@ impl AttackModel {
         train: bool,
     ) -> Tensor {
         let (n, _) = vectors.dims2();
-        self.cache_n = n;
         // Vector part.
         let mut v = self.fc1.forward(vectors, train);
         v = self.act1.forward(&v, train);
@@ -305,7 +300,7 @@ impl AttackModel {
                 // The sink embedding was broadcast: sum its row gradients.
                 let g_sink = sum_rows(g_sink_rows);
                 // Tower saw [sink; sources]: stack gradients the same way.
-                let n = self.cache_n;
+                let n = g_src.dims2().0;
                 let mut stacked = Tensor::zeros(&[n + 1, 128]);
                 stacked.data_mut()[..128].copy_from_slice(g_sink.data());
                 stacked.data_mut()[128..].copy_from_slice(g_src.data());

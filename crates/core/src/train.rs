@@ -131,9 +131,8 @@ pub fn train(designs: &[PreparedDesign], config: &AttackConfig) -> (TrainedAttac
             // accumulates gradients over its shard, and returns them.
             let shard_size = batch.len().div_ceil(threads);
             let shards: Vec<&[(usize, usize)]> = batch.chunks(shard_size.max(1)).collect();
-            let worker_model = model.clone();
             let results = parallel_map(&shards, threads, |shard| {
-                let mut m = worker_model.clone();
+                let mut m = model.clone();
                 m.zero_grad();
                 let mut loss_sum = 0.0f64;
                 for &(di, qi) in shard.iter() {

@@ -50,14 +50,11 @@ use std::time::Instant;
 pub struct ServeConfig {
     /// Bind address; `127.0.0.1:0` picks an ephemeral port (tests).
     pub addr: String,
-    /// HTTP worker threads.
+    /// HTTP worker threads: the request-level parallelism. Each `/attack`
+    /// runs its inference on the one worker that took it.
     pub threads: usize,
     /// Deserialized-model LRU capacity (`0` disables it).
     pub lru_capacity: usize,
-    /// Threads each `/attack` request may spend on inference. Inference is
-    /// thread-count invariant, so this is purely a scheduling choice; `1`
-    /// keeps concurrent requests from oversubscribing the worker pool.
-    pub inference_threads: usize,
     /// Query-stream adversary detection (disabled by default).
     pub detect: crate::detect::DetectConfig,
 }
@@ -68,7 +65,6 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:8077".to_string(),
             threads: 4,
             lru_capacity: 16,
-            inference_threads: 1,
             detect: crate::detect::DetectConfig::default(),
         }
     }
@@ -139,14 +135,13 @@ pub struct AttackServer {
     /// against one victim are the expected traffic shape. Unbounded, but one
     /// entry per distinct evaluation protocol actually queried.
     bases: Mutex<HashMap<CorpusFingerprint, Arc<EvalBase>>>,
-    inference_threads: usize,
     detect: Detector,
     /// Monotonic origin of the detector's tick axis.
     started: Instant,
 }
 
 impl AttackServer {
-    /// A server over `store` with `config`'s caching/threading knobs.
+    /// A server over `store` with `config`'s cache and detection settings.
     pub fn new(config: &ServeConfig, store: Arc<dyn ModelStore + Send + Sync>) -> AttackServer {
         AttackServer {
             store,
@@ -154,7 +149,6 @@ impl AttackServer {
             metrics: Metrics::new(),
             inflight: Inflight::default(),
             bases: Mutex::new(HashMap::new()),
-            inference_threads: config.inference_threads.max(1),
             detect: Detector::new(config.detect.clone()),
             started: Instant::now(),
         }
@@ -343,7 +337,8 @@ impl AttackServer {
         let victim = PreparedDesign::prepare(&defended.design, layer, &spec.eval.attack);
         let ranked = {
             let _span = obs::span("serve.infer");
-            attack_ranked(&resolved.model, &victim, spec.top_k, self.inference_threads)
+            // One thread: the HTTP worker pool parallelises across requests.
+            attack_ranked(&resolved.model, &victim, spec.top_k, 1)
         };
         let dl_ccr = ccr(&victim.view, &ranked.assignment());
         let rankings = rankings_of(&ranked, &victim.view);

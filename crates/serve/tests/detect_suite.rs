@@ -74,7 +74,6 @@ fn detecting_server(countermeasure: Countermeasure) -> RunningServer {
         addr: "127.0.0.1:0".to_string(),
         threads: 3,
         lru_capacity: 4,
-        inference_threads: 1,
         detect: DetectConfig {
             enabled: true,
             window_us: 150_000,
@@ -307,7 +306,6 @@ fn deception_is_invisible_stable_and_collapses_confidence() {
         addr: String::new(),
         threads: 1,
         lru_capacity: 4,
-        inference_threads: 1,
         detect: DetectConfig {
             enabled: true,
             window_us: 120_000,

@@ -24,7 +24,6 @@ fn test_server() -> RunningServer {
         addr: "127.0.0.1:0".to_string(),
         threads: 3,
         lru_capacity: 4,
-        inference_threads: 1,
         ..ServeConfig::default()
     };
     start(&config, Arc::new(MemoryModelStore::new())).expect("bind ephemeral port")
@@ -350,6 +349,15 @@ fn malformed_requests_answer_400_and_the_worker_survives() {
         addr,
         b"POST /attack HTTP/1.1\r\nContent-Length: 999999999999\r\n\r\n",
     );
+    assert!(r.starts_with("HTTP/1.1 400"), "got: {r:.60}");
+
+    // 200 000 unclosed `[`: once a stack overflow that aborted the process.
+    let deep = "[".repeat(200_000);
+    let head = format!(
+        "POST /attack HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+        deep.len()
+    );
+    let r = raw_roundtrip(addr, (head + &deep).as_bytes());
     assert!(r.starts_with("HTTP/1.1 400"), "got: {r:.60}");
 
     // The workers must have survived all of it.
