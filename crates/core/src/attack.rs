@@ -111,7 +111,7 @@ fn query_scores(
         let src = stack_batch(&src_rows);
         m.score_from_embeddings(&vectors, Some((&src, &embeddings[sink_key])), false)
     } else {
-        m.score_from_embeddings(&vectors, None, false)
+        m.forward_query(&vectors, &[vectors.dims2().0], None, false)
     };
     m.candidate_scores(&scores)
 }

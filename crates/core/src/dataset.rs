@@ -136,14 +136,19 @@ impl PreparedDesign {
     /// Assembles the image stack `[n+1, C, px, px]` of query `i` (sink image
     /// first), or `None` when images are disabled.
     pub fn images(&self, i: usize) -> Option<Tensor> {
+        (self.channels > 0).then(|| stack_batch(&self.image_parts(i)))
+    }
+
+    /// The `[1, C, px, px]` images of query `i` in stack order (sink image
+    /// first); empty when images are disabled.
+    pub fn image_parts(&self, i: usize) -> Vec<&Tensor> {
         if self.channels == 0 {
-            return None;
+            return Vec::new();
         }
         let (sink_key, cand_keys) = &self.image_keys[i];
-        let parts: Vec<&Tensor> = std::iter::once(&self.images[sink_key])
+        std::iter::once(&self.images[sink_key])
             .chain(cand_keys.iter().map(|k| &self.images[k]))
-            .collect();
-        Some(stack_batch(&parts))
+            .collect()
     }
 
     /// The training target (index of the positive VPP) of query `i`.
@@ -184,24 +189,22 @@ impl PreparedDesign {
     }
 }
 
-/// Stacks `[1, C, H, W]` tensors into `[k, C, H, W]`.
+/// Concatenates tensors along their first (batch) axis, e.g. `[1, C, H, W]`
+/// images into `[k, C, H, W]` or per-query `[nᵢ, 27]` rows into `[Σnᵢ, 27]`.
 ///
 /// # Panics
 ///
-/// Panics if shapes differ or the list is empty.
+/// Panics if the trailing shapes differ or the list is empty.
 pub fn stack_batch(parts: &[&Tensor]) -> Tensor {
     assert!(!parts.is_empty(), "stack of nothing");
-    let shape = parts[0].shape().to_vec();
-    assert_eq!(shape[0], 1, "expected unit batch dim");
-    let per = parts[0].numel();
-    let mut data = Vec::with_capacity(per * parts.len());
+    let mut shape = parts[0].shape().to_vec();
+    let mut data = Vec::with_capacity(parts.iter().map(|p| p.numel()).sum());
     for p in parts {
-        assert_eq!(p.shape(), &shape[..], "stack shape mismatch");
+        assert_eq!(p.shape()[1..], shape[1..], "stack shape mismatch");
         data.extend_from_slice(p.data());
     }
-    let mut out_shape = shape;
-    out_shape[0] = parts.len();
-    Tensor::from_vec(&out_shape, data)
+    shape[0] = parts.iter().map(|p| p.shape()[0]).sum();
+    Tensor::from_vec(&shape, data)
 }
 
 /// Fits the feature normaliser over all candidates of the given designs
@@ -282,5 +285,7 @@ mod tests {
         let b = Tensor::zeros(&[1, 2, 3, 3]);
         let s = stack_batch(&[&a, &b]);
         assert_eq!(s.shape(), &[2, 2, 3, 3]);
+        let rows = stack_batch(&[&Tensor::zeros(&[3, 4]), &Tensor::zeros(&[2, 4])]);
+        assert_eq!(rows.shape(), &[5, 4]);
     }
 }

@@ -22,6 +22,7 @@ use deepsplit_nn::init::Initializer;
 use deepsplit_nn::layers::{
     Conv2d, GlobalAvgPool, Layer, LeakyRelu, Linear, ParamRef, Params, ResBlock,
 };
+use deepsplit_nn::loss::{softmax_regression, two_class};
 use deepsplit_nn::tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
@@ -95,16 +96,19 @@ impl ConvTower {
         self.act4.forward(&h, train)
     }
 
-    /// Backpropagates `[k, 128]` gradients through the tower.
-    pub fn backward(&mut self, grad: &Tensor) {
+    /// Backpropagates `[k, 128]` gradients through the tower. The `k`
+    /// images split into consecutive per-query `segments` (image counts),
+    /// which keep the weight gradients bit-identical to one pass per query
+    /// (see [`Linear::backward_segments`]).
+    pub fn backward(&mut self, grad: &Tensor, segments: &[usize]) {
         let mut g = self.act4.backward(grad);
-        g = self.fc4.backward(&g);
+        g = self.fc4.backward_segments(&g, segments);
         g = self.act3.backward(&g);
-        g = self.fc3.backward(&g);
+        g = self.fc3.backward_segments(&g, segments);
         let mut g = self.pool.backward(&g);
         for i in (0..self.convs.len()).rev() {
             g = self.acts[i].backward(&g);
-            g = self.convs[i].backward(&g);
+            g = self.convs[i].backward_segments(&g, segments);
         }
     }
 
@@ -213,16 +217,28 @@ impl AttackModel {
             .forward(imgs, train)
     }
 
-    /// Scores a query from vector features `[n, 27]` and (for `VecImg`)
+    /// Scores one query from vector features `[n, 27]` and (for `VecImg`)
     /// image embeddings: source embeddings `[n, 128]` plus sink embedding
-    /// `[1, 128]`. Returns `[n, 1]` or `[n, 2]` scores.
+    /// `[1, 128]`. Returns `[n, 1]` or `[n, 2]` scores. Inference calls this
+    /// with embeddings it computed once per unique image.
     pub fn score_from_embeddings(
         &mut self,
         vectors: &Tensor,
         embeddings: Option<(&Tensor, &Tensor)>,
         train: bool,
     ) -> Tensor {
-        let (n, _) = vectors.dims2();
+        let n = vectors.dims2().0;
+        let pairs = embeddings.map(|(src, sink)| {
+            assert_eq!(src.dims2().0, n, "one source embedding per candidate");
+            Tensor::concat_cols(&[src, &broadcast_rows(sink, n)])
+        });
+        self.score_rows(vectors, pairs.as_ref(), train)
+    }
+
+    /// Scores stacked candidate rows: `vectors` `[rows, 27]` and, for
+    /// `VecImg`, the matching `[source ‖ sink]` embedding pairs `[rows, 256]`.
+    /// Every layer here is row-wise, so rows need no query boundaries.
+    fn score_rows(&mut self, vectors: &Tensor, pairs: Option<&Tensor>, train: bool) -> Tensor {
         // Vector part.
         let mut v = self.fc1.forward(vectors, train);
         v = self.act1.forward(&v, train);
@@ -230,15 +246,10 @@ impl AttackModel {
             v = b.forward(&v, train);
         }
         // Image part (pair fusion).
-        let merged_in = match (self.kind, embeddings) {
-            (ModelKind::VecImg, Some((src, sink))) => {
-                let (sn, _) = src.dims2();
-                assert_eq!(sn, n, "one source embedding per candidate");
-                // Broadcast the sink embedding across the n rows.
-                let sink_rows = broadcast_rows(sink, n);
-                let pairs = Tensor::concat_cols(&[src, &sink_rows]);
+        let merged_in = match (self.kind, pairs) {
+            (ModelKind::VecImg, Some(pairs)) => {
                 let f = self.fc5_img.as_mut().expect("VecImg has fc5_img");
-                let h = f.forward(&pairs, train);
+                let h = f.forward(pairs, train);
                 let h = self.act5_img.forward(&h, train);
                 Tensor::concat_cols(&[&v, &h])
             }
@@ -256,64 +267,140 @@ impl AttackModel {
         self.fc7.forward(&h, train)
     }
 
-    /// Full forward pass: vectors `[n, 27]` and, for `VecImg`, the image
-    /// stack `[n+1, C, H, W]` with the **sink image first**.
+    /// Full forward pass over a batch of queries stacked row-wise: `vectors`
+    /// `[Σnᵢ, 27]` holds query `i`'s `nᵢ = segments[i]` candidate rows in
+    /// order, and for `VecImg`, `images` `[Σ(nᵢ+1), C, H, W]` holds each
+    /// query's sink image followed by its `nᵢ` source images. A single query
+    /// is a batch of one (`segments == [n]`). Returns `[Σnᵢ, 1]` or
+    /// `[Σnᵢ, 2]` scores; each query's loss reads its own row segment.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the segments do not cover the rows, or if a `VecImg` model
+    /// gets no (or mis-sized) images.
     pub fn forward_query(
         &mut self,
         vectors: &Tensor,
+        segments: &[usize],
         images: Option<&Tensor>,
         train: bool,
     ) -> Tensor {
-        match self.kind {
-            ModelKind::VecOnly => self.score_from_embeddings(vectors, None, train),
+        let rows = vectors.dims2().0;
+        assert_eq!(
+            segments.iter().sum::<usize>(),
+            rows,
+            "segments must cover all rows"
+        );
+        let pairs = match self.kind {
+            ModelKind::VecOnly => None,
             ModelKind::VecImg => {
                 let imgs = images.expect("VecImg model requires images");
                 let emb = self.embed_images(imgs, train);
                 let (k, d) = emb.dims2();
-                let n = k - 1;
-                let sink = emb.row(0);
-                let src = Tensor::from_vec(&[n, d], emb.data()[d..].to_vec());
-                self.score_from_embeddings(vectors, Some((&src, &sink)), train)
+                assert_eq!(k, rows + segments.len(), "one sink image per query");
+                // Query i's images are [sink; sources]: pair every source
+                // embedding with its own query's sink embedding.
+                let mut pairs = Vec::with_capacity(rows * 2 * d);
+                let mut at = 0;
+                for &n in segments {
+                    let sink = &emb.data()[at * d..(at + 1) * d];
+                    for src in emb.data()[(at + 1) * d..(at + 1 + n) * d].chunks_exact(d) {
+                        pairs.extend_from_slice(src);
+                        pairs.extend_from_slice(sink);
+                    }
+                    at += n + 1;
+                }
+                Some(Tensor::from_vec(&[rows, 2 * d], pairs))
             }
-        }
+        };
+        self.score_rows(vectors, pairs.as_ref(), train)
     }
 
-    /// Backward pass for the most recent training [`AttackModel::forward_query`].
-    pub fn backward_query(&mut self, grad_scores: &Tensor) {
-        let mut g = self.fc7.backward(grad_scores);
+    /// Backward pass for the most recent training
+    /// [`AttackModel::forward_query`], with the same `segments`.
+    /// `grad_scores` stacks every query's loss gradient over its own rows.
+    pub fn backward_query(&mut self, grad_scores: &Tensor, segments: &[usize]) {
+        let mut g = self.fc7.backward_segments(grad_scores, segments);
         g = self.act6.backward(&g);
-        g = self.fc6.backward(&g);
+        g = self.fc6.backward_segments(&g, segments);
         for b in self.merged_blocks.iter_mut().rev() {
-            g = b.backward(&g);
+            g = b.backward_segments(&g, segments);
         }
         g = self.act5.backward(&g);
-        g = self.fc5.backward(&g);
+        g = self.fc5.backward_segments(&g, segments);
         let g_vec = match self.kind {
             ModelKind::VecOnly => g,
             ModelKind::VecImg => {
-                let parts = g.split_cols(&[128, 128]);
-                let (g_vec, g_img) = (parts[0].clone(), parts[1].clone());
-                let g_img = self.act5_img.backward(&g_img);
-                let g_pairs = self.fc5_img.as_mut().expect("VecImg").backward(&g_img);
-                let pair_parts = g_pairs.split_cols(&[128, 128]);
-                let (g_src, g_sink_rows) = (&pair_parts[0], &pair_parts[1]);
-                // The sink embedding was broadcast: sum its row gradients.
-                let g_sink = sum_rows(g_sink_rows);
-                // Tower saw [sink; sources]: stack gradients the same way.
-                let n = g_src.dims2().0;
-                let mut stacked = Tensor::zeros(&[n + 1, 128]);
-                stacked.data_mut()[..128].copy_from_slice(g_sink.data());
-                stacked.data_mut()[128..].copy_from_slice(g_src.data());
-                self.tower.as_mut().expect("VecImg").backward(&stacked);
-                g_vec
+                let mut parts = g.split_cols(&[128, 128]);
+                let g_img = self.act5_img.backward(&parts[1]);
+                let f = self.fc5_img.as_mut().expect("VecImg");
+                let g_pairs = f.backward_segments(&g_img, segments).data().to_vec();
+                // Undo the pairing: the tower saw [sink; sources] per query,
+                // and each sink embedding was broadcast over its query's
+                // rows, so its gradient is their sum (rows in order, from 0).
+                let mut stacked = Vec::with_capacity((g_pairs.len() / 2) + segments.len() * 128);
+                let mut pair_rows = g_pairs.chunks_exact(256);
+                for &n in segments {
+                    let query_rows: Vec<&[f32]> = pair_rows.by_ref().take(n).collect();
+                    let mut g_sink = [0.0f32; 128];
+                    for row in &query_rows {
+                        for (s, &v) in g_sink.iter_mut().zip(&row[128..]) {
+                            *s += v;
+                        }
+                    }
+                    stacked.extend_from_slice(&g_sink);
+                    for row in &query_rows {
+                        stacked.extend_from_slice(&row[..128]);
+                    }
+                }
+                let images: Vec<usize> = segments.iter().map(|n| n + 1).collect();
+                let stacked = Tensor::from_vec(&[stacked.len() / 128, 128], stacked);
+                self.tower
+                    .as_mut()
+                    .expect("VecImg")
+                    .backward(&stacked, &images);
+                parts.swap_remove(0)
             }
         };
         let mut g = g_vec;
         for b in self.vec_blocks.iter_mut().rev() {
-            g = b.backward(&g);
+            g = b.backward_segments(&g, segments);
         }
         g = self.act1.backward(&g);
-        let _ = self.fc1.backward(&g);
+        let _ = self.fc1.backward_segments(&g, segments);
+    }
+
+    /// Each query's training loss over its own row segment of stacked
+    /// `scores` (paper Eq. 6, or the Eq. 3 two-class baseline) for the
+    /// positive candidate `targets[i]`, and the loss gradient stacked the
+    /// same way as `scores`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a target is outside its segment or the segments do not
+    /// cover the rows.
+    pub fn segment_losses(
+        &self,
+        scores: &Tensor,
+        segments: &[usize],
+        targets: &[usize],
+    ) -> (Vec<f32>, Tensor) {
+        let cols = scores.dims2().1;
+        let mut losses = Vec::with_capacity(segments.len());
+        let mut grad = Vec::with_capacity(scores.numel());
+        let mut row = 0;
+        for (&n, &target) in segments.iter().zip(targets) {
+            let query = scores.data()[row * cols..(row + n) * cols].to_vec();
+            let query = Tensor::from_vec(&[n, cols], query);
+            let (loss, g) = match self.loss {
+                LossKind::SoftmaxRegression => softmax_regression(&query, target),
+                LossKind::TwoClass => two_class(&query, target),
+            };
+            losses.push(loss);
+            grad.extend_from_slice(g.data());
+            row += n;
+        }
+        (losses, Tensor::from_vec(scores.shape(), grad))
     }
 
     /// Ranking probability per candidate (implements paper Eq. 2).
@@ -377,23 +464,10 @@ fn broadcast_rows(row: &Tensor, n: usize) -> Tensor {
     out
 }
 
-/// Sums `[n, d]` rows into `[1, d]`.
-fn sum_rows(t: &Tensor) -> Tensor {
-    let (n, d) = t.dims2();
-    let mut out = Tensor::zeros(&[1, d]);
-    for r in 0..n {
-        for c in 0..d {
-            out.data_mut()[c] += t.data()[r * d + c];
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use deepsplit_nn::layers::{export_grads, Params};
-    use deepsplit_nn::loss::softmax_regression;
     use deepsplit_nn::optim::{Adam, Optimizer};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -410,7 +484,7 @@ mod tests {
         let mut model = AttackModel::new(ModelKind::VecOnly, LossKind::SoftmaxRegression, 0, 1);
         let mut rng = StdRng::seed_from_u64(1);
         let x = rand_tensor(&[5, VD], &mut rng);
-        let y = model.forward_query(&x, None, false);
+        let y = model.forward_query(&x, &[5], None, false);
         assert_eq!(y.shape(), &[5, 1]);
     }
 
@@ -421,7 +495,7 @@ mod tests {
         let n = 4;
         let x = rand_tensor(&[n, VD], &mut rng);
         let imgs = rand_tensor(&[n + 1, 6, 9, 9], &mut rng);
-        let y = model.forward_query(&x, Some(&imgs), false);
+        let y = model.forward_query(&x, &[n], Some(&imgs), false);
         assert_eq!(y.shape(), &[n, 1]);
     }
 
@@ -430,7 +504,7 @@ mod tests {
         let mut model = AttackModel::new(ModelKind::VecOnly, LossKind::TwoClass, 0, 1);
         let mut rng = StdRng::seed_from_u64(2);
         let x = rand_tensor(&[3, VD], &mut rng);
-        let y = model.forward_query(&x, None, false);
+        let y = model.forward_query(&x, &[3], None, false);
         assert_eq!(y.shape(), &[3, 2]);
         let probs = model.candidate_scores(&y);
         assert_eq!(probs.len(), 3);
@@ -458,10 +532,10 @@ mod tests {
         for step in 0..60 {
             let t = step % 6;
             let x = make(t, &mut rng);
-            let y = model.forward_query(&x, None, true);
+            let y = model.forward_query(&x, &[6], None, true);
             let (loss, grad) = softmax_regression(&y, t);
             model.zero_grad();
-            model.backward_query(&grad);
+            model.backward_query(&grad, &[6]);
             opt.step(&mut model);
             if step == 0 {
                 first = loss;
@@ -478,10 +552,10 @@ mod tests {
         let n = 3;
         let x = rand_tensor(&[n, VD], &mut rng);
         let imgs = rand_tensor(&[n + 1, 2, 9, 9], &mut rng);
-        let y = model.forward_query(&x, Some(&imgs), true);
+        let y = model.forward_query(&x, &[n], Some(&imgs), true);
         let (_, grad) = softmax_regression(&y, 1);
         model.zero_grad();
-        model.backward_query(&grad);
+        model.backward_query(&grad, &[n]);
         let grads = export_grads(&mut model);
         let nonzero = grads
             .iter()
@@ -495,21 +569,92 @@ mod tests {
         );
     }
 
+    /// Gradient bits in visit order, so `-0.0` and `+0.0` differ.
+    fn grad_bits(model: &mut AttackModel) -> Vec<Vec<u32>> {
+        export_grads(model)
+            .iter()
+            .map(|g| g.data().iter().map(|x| x.to_bits()).collect())
+            .collect()
+    }
+
     #[test]
     fn clone_train_produces_same_grads() {
         // Data-parallel soundness: clones computing the same sample produce
-        // identical gradients.
+        // identical gradients, and a clone of a trained model carries no
+        // forward cache (a backward on it needs its own forward).
         let mut a = AttackModel::new(ModelKind::VecOnly, LossKind::SoftmaxRegression, 0, 7);
-        let mut b = a.clone();
         let mut rng = StdRng::seed_from_u64(9);
         let x = rand_tensor(&[4, VD], &mut rng);
+        let y = a.forward_query(&x, &[4], None, true);
+        let (_, grad) = softmax_regression(&y, 2);
+        a.zero_grad();
+        a.backward_query(&grad, &[4]);
+        let mut b = a.clone();
+        let stale = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            b.clone().backward_query(&grad, &[4])
+        }));
+        assert!(stale.is_err(), "backward consumed the forward caches");
         for m in [&mut a, &mut b] {
-            let y = m.forward_query(&x, None, true);
+            let y = m.forward_query(&x, &[4], None, true);
             let (_, grad) = softmax_regression(&y, 2);
             m.zero_grad();
-            m.backward_query(&grad);
+            m.backward_query(&grad, &[4]);
         }
-        assert_eq!(export_grads(&mut a), export_grads(&mut b));
+        assert_eq!(grad_bits(&mut a), grad_bits(&mut b));
+    }
+
+    #[test]
+    fn batched_pass_matches_per_query_passes_bitwise() {
+        // One forward/backward over a stacked batch must leave exactly the
+        // gradients that one pass per query accumulates: training weights
+        // (and every cached model) depend on it.
+        let counts = [3usize, 5, 1, 4];
+        let targets = [2usize, 0, 0, 3];
+        for kind in [ModelKind::VecOnly, ModelKind::VecImg] {
+            for loss in [LossKind::SoftmaxRegression, LossKind::TwoClass] {
+                let channels = if kind == ModelKind::VecImg { 2 } else { 0 };
+                let mut per_query = AttackModel::new(kind, loss, channels, 11);
+                let mut batched = per_query.clone();
+                let mut rng = StdRng::seed_from_u64(13);
+                let queries: Vec<(Tensor, Tensor)> = counts
+                    .iter()
+                    .map(|&n| {
+                        (
+                            rand_tensor(&[n, VD], &mut rng),
+                            rand_tensor(&[n + 1, 2, 9, 9], &mut rng),
+                        )
+                    })
+                    .collect();
+                let images =
+                    |q: &(Tensor, Tensor)| (kind == ModelKind::VecImg).then(|| q.1.clone());
+
+                per_query.zero_grad();
+                let mut per_query_losses = Vec::new();
+                for ((q, &n), &t) in queries.iter().zip(&counts).zip(&targets) {
+                    let y = per_query.forward_query(&q.0, &[n], images(q).as_ref(), true);
+                    let (l, g) = per_query.segment_losses(&y, &[n], &[t]);
+                    per_query.backward_query(&g, &[n]);
+                    per_query_losses.extend(l);
+                }
+
+                let rows: usize = counts.iter().sum();
+                let vectors: Vec<f32> = queries.iter().flat_map(|q| q.0.data().to_vec()).collect();
+                let vectors = Tensor::from_vec(&[rows, VD], vectors);
+                let stack: Vec<f32> = queries.iter().flat_map(|q| q.1.data().to_vec()).collect();
+                let stack = Tensor::from_vec(&[rows + counts.len(), 2, 9, 9], stack);
+                let imgs = (kind == ModelKind::VecImg).then_some(&stack);
+                batched.zero_grad();
+                let y = batched.forward_query(&vectors, &counts, imgs, true);
+                let (losses, grad) = batched.segment_losses(&y, &counts, &targets);
+                batched.backward_query(&grad, &counts);
+                let bits = |ls: &[f32]| ls.iter().map(|l| l.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&losses), bits(&per_query_losses), "{kind:?}/{loss:?}");
+                assert!(
+                    grad_bits(&mut batched) == grad_bits(&mut per_query),
+                    "{kind:?}/{loss:?}: batched gradients differ from per-query ones"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,17 +1,27 @@
 //! Training loop (paper §4.3 / §5): softmax-regression (or two-class) loss,
-//! Adam, learning rate 0.001 decayed to 60 % every 20 epochs, data-parallel
-//! gradient accumulation over CPU threads.
+//! Adam, learning rate 0.001 decayed to 60 % every 20 epochs.
+//!
+//! Training is batch-major: a mini-batch's queries are stacked row-wise into
+//! one `[Σnᵢ, 27]` matrix and run through one forward and one backward pass,
+//! while each query's loss (paper Eq. 2 / Eq. 6) still reads only its own
+//! row segment. The layers accumulate weight gradients one segment at a
+//! time, so the trained weights are bit-identical to one pass per query.
+//!
+//! With `threads > 1` a batch is sharded: the first shard trains in place on
+//! the model, every further shard on a clone in its own thread, and the
+//! clones' gradients are added in shard order. The weights therefore depend
+//! on the thread count, which is why cacheable models train on one thread
+//! (no clone and no gradient copy at all).
 
 use crate::config::AttackConfig;
-use crate::dataset::{fit_normalizer, PreparedDesign};
+use crate::dataset::{fit_normalizer, stack_batch, PreparedDesign};
 use crate::fingerprint::CorpusFingerprint;
 use crate::model::{AttackModel, LossKind, ModelKind};
 use crate::store::ModelStore;
 use crate::vector_features::Normalizer;
 use deepsplit_nn::layers::{add_grads, export_grads, scale_grads, Params};
-use deepsplit_nn::loss::{softmax_regression, two_class};
 use deepsplit_nn::optim::{Adam, Optimizer, StepDecay};
-use deepsplit_nn::parallel::parallel_map;
+use deepsplit_nn::tensor::Tensor;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -127,41 +137,33 @@ pub fn train(designs: &[PreparedDesign], config: &AttackConfig) -> (TrainedAttac
         let mut epoch_loss = 0.0f64;
         let mut steps = 0usize;
         for batch in queries.chunks(config.batch_size.max(1)) {
-            // Shard the batch over threads; each worker clones the model,
-            // accumulates gradients over its shard, and returns them.
+            // Shard 0 trains in place on `model`; each further shard trains
+            // a clone on its own thread and is added in shard order.
             let shard_size = batch.len().div_ceil(threads);
             let shards: Vec<&[(usize, usize)]> = batch.chunks(shard_size.max(1)).collect();
-            let results = parallel_map(&shards, threads, |shard| {
-                let mut m = model.clone();
-                m.zero_grad();
-                let mut loss_sum = 0.0f64;
-                for &(di, qi) in shard.iter() {
-                    let d = &designs[di];
-                    let vectors = d.vectors(qi, &normalizer);
-                    let images = d.images(qi);
-                    let target = d.target(qi).expect("trainable query");
-                    let scores = m.forward_query(&vectors, images.as_ref(), true);
-                    let (loss, grad) = match loss_kind {
-                        LossKind::SoftmaxRegression => softmax_regression(&scores, target),
-                        LossKind::TwoClass => two_class(&scores, target),
-                    };
-                    m.backward_query(&grad);
-                    loss_sum += loss as f64;
-                }
-                (export_grads(&mut m), loss_sum, shard.len())
+            let (first, rest) = shards.split_first().expect("batches are non-empty");
+            let mut workers: Vec<AttackModel> = rest.iter().map(|_| model.clone()).collect();
+            let (mut batch_loss, rest_losses) = std::thread::scope(|s| {
+                let handles: Vec<_> = workers
+                    .iter_mut()
+                    .zip(rest)
+                    .map(|(m, shard)| s.spawn(|| shard_grads(m, designs, &normalizer, shard)))
+                    .collect();
+                let first_loss = shard_grads(&mut model, designs, &normalizer, first);
+                let rest_losses: Vec<f64> = handles
+                    .into_iter()
+                    .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
+                    .collect();
+                (first_loss, rest_losses)
             });
-            model.zero_grad();
-            let mut batch_loss = 0.0f64;
-            let mut count = 0usize;
-            for (grads, loss_sum, n) in results {
-                add_grads(&mut model, &grads);
-                batch_loss += loss_sum;
-                count += n;
+            for (worker, loss) in workers.iter_mut().zip(rest_losses) {
+                add_grads(&mut model, &export_grads(worker));
+                batch_loss += loss;
             }
-            scale_grads(&mut model, 1.0 / count.max(1) as f32);
+            scale_grads(&mut model, 1.0 / batch.len() as f32);
             opt.step(&mut model);
             epoch_loss += batch_loss;
-            steps += count;
+            steps += batch.len();
         }
         let mean_loss = (epoch_loss / steps.max(1) as f64) as f32;
         deepsplit_obs::event("epoch_loss", Some(f64::from(mean_loss)));
@@ -176,6 +178,56 @@ pub fn train(designs: &[PreparedDesign], config: &AttackConfig) -> (TrainedAttac
         },
         report,
     )
+}
+
+/// Sets `model`'s gradients to those of one shard of a mini-batch and
+/// returns the shard's summed loss.
+///
+/// Vector-only models stack the whole shard into one pass. Image models pass
+/// one query at a time: their im2col caches grow with the image stack (~6 MB
+/// per query at the fast profile, ~0.5 GB at the paper's 99 px), and a
+/// query's pass already batches its `n + 1` images.
+fn shard_grads(
+    model: &mut AttackModel,
+    designs: &[PreparedDesign],
+    normalizer: &Normalizer,
+    shard: &[(usize, usize)],
+) -> f64 {
+    model.zero_grad();
+    let per_pass = match model.kind {
+        ModelKind::VecOnly => shard.len(),
+        ModelKind::VecImg => 1,
+    };
+    let mut loss_sum = 0.0f64;
+    for pass in shard.chunks(per_pass.max(1)) {
+        let vectors: Vec<Tensor> = pass
+            .iter()
+            .map(|&(di, qi)| designs[di].vectors(qi, normalizer))
+            .collect();
+        let segments: Vec<usize> = vectors.iter().map(|v| v.dims2().0).collect();
+        let vectors = stack_batch(&vectors.iter().collect::<Vec<_>>());
+        let images = match model.kind {
+            ModelKind::VecOnly => None,
+            ModelKind::VecImg => {
+                let parts: Vec<&Tensor> = pass
+                    .iter()
+                    .flat_map(|&(di, qi)| designs[di].image_parts(qi))
+                    .collect();
+                Some(stack_batch(&parts))
+            }
+        };
+        let scores = model.forward_query(&vectors, &segments, images.as_ref(), true);
+        let targets: Vec<usize> = pass
+            .iter()
+            .map(|&(di, qi)| designs[di].target(qi).expect("trainable query"))
+            .collect();
+        let (losses, grad) = model.segment_losses(&scores, &segments, &targets);
+        model.backward_query(&grad, &segments);
+        for loss in losses {
+            loss_sum += loss as f64;
+        }
+    }
+    loss_sum
 }
 
 /// Content-addressed training: returns the model stored under `key` when the

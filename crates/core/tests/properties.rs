@@ -99,8 +99,8 @@ proptest! {
             &[n, VECTOR_DIM],
             (0..n * VECTOR_DIM).map(|i| ((i * 37 + 11) % 97) as f32 / 97.0 - 0.5).collect(),
         );
-        let a = model.forward_query(&x, None, false);
-        let b = model.forward_query(&x, None, false);
+        let a = model.forward_query(&x, &[n], None, false);
+        let b = model.forward_query(&x, &[n], None, false);
         prop_assert_eq!(a.clone(), b);
         prop_assert_eq!(a.shape(), &[n, 1]);
     }

@@ -46,10 +46,12 @@ pub trait Layer: Params {
 
     /// Backward pass for the most recent `forward(.., true)` call. Returns the
     /// gradient with respect to the input and accumulates parameter gradients.
+    /// The forward cache is consumed, so no activations outlive the step.
     ///
     /// # Panics
     ///
-    /// Panics if no training forward pass preceded it.
+    /// Panics if no training forward pass preceded it (a second `backward`
+    /// needs a new forward).
     fn backward(&mut self, grad_out: &Tensor) -> Tensor;
 }
 
@@ -123,6 +125,34 @@ impl Linear {
             self.gb = Tensor::zeros(self.b.shape());
         }
     }
+
+    /// [`Layer::backward`] for a stacked batch: the rows of the last forward
+    /// input split into consecutive per-query `segments` (row counts).
+    ///
+    /// `gw` receives one `xₛᵀ gₛ` partial per segment, each reduced from
+    /// `+0.0` and added in segment order, and `gb` sums rows in order, so the
+    /// parameter gradients are bit-identical to one forward/backward per
+    /// query. The input gradient is row-wise and needs no segments.
+    ///
+    /// # Panics
+    ///
+    /// Panics without a preceding training forward, or if the segments do
+    /// not sum to the row count.
+    pub fn backward_segments(&mut self, grad_out: &Tensor, segments: &[usize]) -> Tensor {
+        self.ensure_grads();
+        let x = self.cache_x.take().expect("backward without forward");
+        // gw += Σₛ xₛᵀ gₛ; gb += Σ rows g; gx = g Wᵀ
+        self.gw.add_t_matmul(&x, grad_out, segments);
+        let (rows, out) = grad_out.dims2();
+        let gd = grad_out.data();
+        let gb = self.gb.data_mut();
+        for r in 0..rows {
+            for c in 0..out {
+                gb[c] += gd[r * out + c];
+            }
+        }
+        grad_out.matmul_t(&self.w)
+    }
 }
 
 impl Params for Linear {
@@ -157,19 +187,7 @@ impl Layer for Linear {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        self.ensure_grads();
-        let x = self.cache_x.as_ref().expect("backward without forward");
-        // gw += xᵀ g; gb += Σ rows g; gx = g Wᵀ
-        self.gw.add_assign(&x.t_matmul(grad_out));
-        let (rows, out) = grad_out.dims2();
-        let gd = grad_out.data();
-        let gb = self.gb.data_mut();
-        for r in 0..rows {
-            for c in 0..out {
-                gb[c] += gd[r * out + c];
-            }
-        }
-        grad_out.matmul_t(&self.w)
+        self.backward_segments(grad_out, &[grad_out.dims2().0])
     }
 }
 
@@ -213,7 +231,7 @@ impl Layer for LeakyRelu {
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let alpha = self.alpha;
-        let x = self.cache_x.as_ref().expect("backward without forward");
+        let x = self.cache_x.take().expect("backward without forward");
         x.zip_map(grad_out, |xv, g| if xv > 0.0 { g } else { alpha * g })
     }
 }
@@ -233,14 +251,12 @@ pub struct Conv2d {
     gw: Tensor,
     #[serde(skip)]
     gb: Tensor,
+    /// The training forward's input. Backward rebuilds its im2col matrix
+    /// rather than keeping it: the matrix is up to `k²` times larger, and
+    /// freeing that much after every backward makes the allocator hand
+    /// pages back to the OS only to fault them in on the next forward.
     #[serde(skip)]
-    cache: Option<ConvCache>,
-}
-
-#[derive(Debug, Clone)]
-struct ConvCache {
-    col: Tensor,
-    in_shape: [usize; 4],
+    cache_x: Option<Tensor>,
 }
 
 impl Conv2d {
@@ -262,7 +278,7 @@ impl Conv2d {
             stride,
             gw: Tensor::zeros(&[fan_in, out_ch]),
             gb: Tensor::zeros(&[out_ch]),
-            cache: None,
+            cache_x: None,
         }
     }
 
@@ -324,8 +340,8 @@ impl Conv2d {
     }
 
     /// col2im: scatter-add of `(n*oh*ow, c*k*k)` back to `(n, c, h, w)`.
-    fn col2im(&self, col: &Tensor, in_shape: [usize; 4]) -> Tensor {
-        let [n, c, h, w] = in_shape;
+    fn col2im(&self, col: &Tensor, in_shape: (usize, usize, usize, usize)) -> Tensor {
+        let (n, c, h, w) = in_shape;
         let (oh, ow) = (self.out_size(h), self.out_size(w));
         let k = self.k;
         let pad = self.pad() as isize;
@@ -360,6 +376,48 @@ impl Conv2d {
         }
         out
     }
+
+    /// [`Layer::backward`] for a stacked batch of images split into
+    /// consecutive per-query `segments` (image counts): `gw` receives one
+    /// partial per segment, as [`Linear::backward_segments`] does.
+    ///
+    /// # Panics
+    ///
+    /// Panics without a preceding training forward, or if the segments do
+    /// not sum to the image count.
+    pub fn backward_segments(&mut self, grad_out: &Tensor, segments: &[usize]) -> Tensor {
+        self.ensure_grads();
+        let x = self.cache_x.take().expect("backward without forward");
+        let (n, oc, oh, ow) = grad_out.dims4();
+        assert_eq!(oc, self.out_ch);
+        // (n, oc, oh, ow) → (n*oh*ow, oc)
+        let mut g = vec![0.0f32; n * oh * ow * oc];
+        let gd = grad_out.data();
+        for b in 0..n {
+            for oy in 0..oh {
+                for ox in 0..ow {
+                    let row = ((b * oh + oy) * ow + ox) * oc;
+                    for c in 0..oc {
+                        g[row + c] = gd[((b * oc + c) * oh + oy) * ow + ox];
+                    }
+                }
+            }
+        }
+        let g = Tensor::from_vec(&[n * oh * ow, oc], g);
+        let row_segments: Vec<usize> = segments.iter().map(|s| s * oh * ow).collect();
+        self.gw.add_t_matmul(&self.im2col(&x), &g, &row_segments);
+        {
+            let gb = self.gb.data_mut();
+            let gdd = g.data();
+            for r in 0..n * oh * ow {
+                for c in 0..oc {
+                    gb[c] += gdd[r * oc + c];
+                }
+            }
+        }
+        let gcol = g.matmul_t(&self.w);
+        self.col2im(&gcol, x.dims4())
+    }
 }
 
 impl Params for Conv2d {
@@ -393,10 +451,7 @@ impl Layer for Conv2d {
             }
         }
         if train {
-            self.cache = Some(ConvCache {
-                col,
-                in_shape: [n, self.in_ch, h, w],
-            });
+            self.cache_x = Some(x.clone());
         }
         // (n*oh*ow, oc) → (n, oc, oh, ow)
         let oc = self.out_ch;
@@ -416,36 +471,7 @@ impl Layer for Conv2d {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        self.ensure_grads();
-        let cache = self.cache.as_ref().expect("backward without forward");
-        let (n, oc, oh, ow) = grad_out.dims4();
-        assert_eq!(oc, self.out_ch);
-        // (n, oc, oh, ow) → (n*oh*ow, oc)
-        let mut g = vec![0.0f32; n * oh * ow * oc];
-        let gd = grad_out.data();
-        for b in 0..n {
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let row = ((b * oh + oy) * ow + ox) * oc;
-                    for c in 0..oc {
-                        g[row + c] = gd[((b * oc + c) * oh + oy) * ow + ox];
-                    }
-                }
-            }
-        }
-        let g = Tensor::from_vec(&[n * oh * ow, oc], g);
-        self.gw.add_assign(&cache.col.t_matmul(&g));
-        {
-            let gb = self.gb.data_mut();
-            let gdd = g.data();
-            for r in 0..n * oh * ow {
-                for c in 0..oc {
-                    gb[c] += gdd[r * oc + c];
-                }
-            }
-        }
-        let gcol = g.matmul_t(&self.w);
-        self.col2im(&gcol, cache.in_shape)
+        self.backward_segments(grad_out, &[grad_out.dims4().0])
     }
 }
 
@@ -469,6 +495,18 @@ impl ResBlock {
             act: [LeakyRelu::new(), LeakyRelu::new(), LeakyRelu::new()],
         }
     }
+
+    /// [`Layer::backward`] for a stacked batch of per-query row `segments`;
+    /// see [`Linear::backward_segments`].
+    pub fn backward_segments(&mut self, grad_out: &Tensor, segments: &[usize]) -> Tensor {
+        let mut g = grad_out.clone();
+        for i in (0..3).rev() {
+            g = self.act[i].backward(&g);
+            g = self.fc[i].backward_segments(&g, segments);
+        }
+        g.add_assign(grad_out); // skip connection
+        g
+    }
 }
 
 impl Params for ResBlock {
@@ -491,13 +529,7 @@ impl Layer for ResBlock {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut g = grad_out.clone();
-        for i in (0..3).rev() {
-            g = self.act[i].backward(&g);
-            g = self.fc[i].backward(&g);
-        }
-        g.add_assign(grad_out); // skip connection
-        g
+        self.backward_segments(grad_out, &[grad_out.dims2().0])
     }
 }
 
@@ -540,7 +572,7 @@ impl Layer for GlobalAvgPool {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let [n, c, h, w] = self.cache_shape.expect("backward without forward");
+        let [n, c, h, w] = self.cache_shape.take().expect("backward without forward");
         let mut gx = Tensor::zeros(&[n, c, h, w]);
         let inv = 1.0 / (h * w) as f32;
         let gd = grad_out.data();
@@ -700,6 +732,17 @@ mod tests {
         let mut layer = Linear::new(5, 4, &mut init);
         let x = init.uniform(&[3, 5], 1.0).reshape(&[3, 5]);
         grad_check(&mut layer, &x, 1e-2, 1e-2);
+        // backward consumed the forward cache: a second backward without a
+        // new training forward must panic, not reuse stale activations.
+        let again = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            layer.backward(&Tensor::zeros(&[3, 4]))
+        }));
+        let payload = again.expect_err("second backward must panic");
+        let message = payload
+            .downcast_ref::<String>()
+            .cloned()
+            .unwrap_or_default();
+        assert_eq!(message, "backward without forward");
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! ecosystem offers no equivalent, so this crate implements the necessary
 //! subset from scratch:
 //!
-//! * [`tensor`] — dense `f32` tensors with the matmul variants backprop needs.
+//! * [`tensor`] — dense `f32` tensors with the matmul variants backprop needs,
+//!   all on one register-blocked kernel with a fixed reduction order.
 //! * [`layers`] — `Linear`, `Conv2d` (im2col), `LeakyRelu`, residual MLP
 //!   blocks, global average pooling, each with a hand-derived backward pass
 //!   (validated against finite differences in the test suite).
@@ -13,7 +14,7 @@
 //! * [`optim`] — SGD/Adam plus the paper's step-decay schedule
 //!   (0.001 decayed to 60 % every 20 epochs).
 //! * [`init`] — deterministic He initialisation.
-//! * [`parallel`] — `std::thread`-based data parallelism for CPU training.
+//! * [`parallel`] — `std::thread`-based data parallelism on the CPU.
 //!
 //! # Example
 //!

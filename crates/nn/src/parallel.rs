@@ -1,8 +1,11 @@
 //! Data-parallel helpers built on `std::thread::scope` (no extra deps).
 //!
-//! Training in the paper runs on a GPU; here gradient computation is
-//! data-parallel over CPU threads: each worker owns a clone of the model,
-//! computes gradients for its shard, and the shards' gradients are averaged.
+//! The paper runs on a GPU; here work fans out over CPU threads instead.
+//! [`parallel_map`] shards independent items (inference shards queries, and
+//! each worker clones the model once for its whole shard). Training does not
+//! need it: a mini-batch runs as one stacked forward/backward pass, and with
+//! more than one thread the first shard trains in place while only the
+//! further shards train on clones (see `deepsplit_core::train`).
 
 /// Maps `f` over `items` with up to `threads` worker threads, preserving
 /// order. With `threads <= 1` runs inline.

@@ -171,6 +171,11 @@ impl Tensor {
 
     /// Matrix product `self (m×k) × other (k×n) → (m×n)`.
     ///
+    /// Every output element is one sum that starts at `+0.0` and adds
+    /// `a[i][p] * b[p][j]` for `p` ascending, a separate multiply and add
+    /// per step (no FMA, no reassociation). Zero terms may be skipped. For
+    /// finite operands the result is bit-identical to that scalar loop.
+    ///
     /// # Panics
     ///
     /// Panics unless both tensors are 2-D with compatible inner dimensions.
@@ -179,49 +184,63 @@ impl Tensor {
         let (k2, n) = other.dims2();
         assert_eq!(k, k2, "matmul inner dimension mismatch");
         let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            let a_row = &self.data[i * k..(i + 1) * k];
-            let o_row = &mut out[i * n..(i + 1) * n];
-            for (p, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let b_row = &other.data[p * n..(p + 1) * n];
-                for (o, &b) in o_row.iter_mut().zip(b_row) {
-                    *o += a * b;
-                }
-            }
-        }
+        gemm_acc(m, n, k, &self.data, (k, 1), &other.data, &mut out);
         Tensor::from_vec(&[m, n], out)
     }
 
-    /// `selfᵀ (k×m) × other (k×n) → (m×n)` without materialising the transpose.
+    /// `selfᵀ (k×m) × other (k×n) → (m×n)` without materialising the
+    /// transpose; the reduction order is [`Tensor::matmul`]'s.
     ///
     /// # Panics
     ///
     /// Panics unless both tensors are 2-D with matching first dimensions.
     pub fn t_matmul(&self, other: &Tensor) -> Tensor {
         let (k, m) = self.dims2();
-        let (k2, n) = other.dims2();
-        assert_eq!(k, k2, "t_matmul dimension mismatch");
-        let mut out = vec![0.0f32; m * n];
-        for p in 0..k {
-            let a_row = &self.data[p * m..(p + 1) * m];
-            let b_row = &other.data[p * n..(p + 1) * n];
-            for (i, &a) in a_row.iter().enumerate() {
-                if a == 0.0 {
-                    continue;
-                }
-                let o_row = &mut out[i * n..(i + 1) * n];
-                for (o, &b) in o_row.iter_mut().zip(b_row) {
-                    *o += a * b;
-                }
-            }
-        }
-        Tensor::from_vec(&[m, n], out)
+        let (_, n) = other.dims2();
+        let mut out = Tensor::zeros(&[m, n]);
+        out.add_t_matmul(self, other, &[k]);
+        out
     }
 
-    /// `self (m×k) × otherᵀ (n×k) → (m×n)` without materialising the transpose.
+    /// `self (m×n) += Σₛ aₛᵀ bₛ`, where `a (k×m)` and `b (k×n)` are cut into
+    /// consecutive row segments of the given lengths.
+    ///
+    /// Each segment's product is its own sum from `+0.0` (reduced as in
+    /// [`Tensor::matmul`]) and is added into `self` in segment order. That is
+    /// exactly how `self.add_assign(&aₛ.t_matmul(bₛ))` per segment rounds, so
+    /// a weight gradient accumulated over a stacked batch is bit-identical to
+    /// one accumulated query by query.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the shapes agree and the segments sum to `k`.
+    pub fn add_t_matmul(&mut self, a: &Tensor, b: &Tensor, segments: &[usize]) {
+        let (k, m) = a.dims2();
+        let (k2, n) = b.dims2();
+        assert_eq!(k, k2, "t_matmul dimension mismatch");
+        assert_eq!(self.dims2(), (m, n), "t_matmul output shape mismatch");
+        assert_eq!(
+            segments.iter().sum::<usize>(),
+            k,
+            "segments must cover all rows"
+        );
+        let mut row = 0;
+        for &len in segments {
+            gemm_acc(
+                m,
+                n,
+                len,
+                &a.data[row * m..],
+                (1, m),
+                &b.data[row * n..],
+                &mut self.data,
+            );
+            row += len;
+        }
+    }
+
+    /// `self (m×k) × otherᵀ (n×k) → (m×n)`. The transpose of `other` is built
+    /// once per call; the reduction order is [`Tensor::matmul`]'s.
     ///
     /// # Panics
     ///
@@ -230,19 +249,14 @@ impl Tensor {
         let (m, k) = self.dims2();
         let (n, k2) = other.dims2();
         assert_eq!(k, k2, "matmul_t dimension mismatch");
-        let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            let a_row = &self.data[i * k..(i + 1) * k];
-            let o_row = &mut out[i * n..(i + 1) * n];
-            for (j, o) in o_row.iter_mut().enumerate() {
-                let b_row = &other.data[j * k..(j + 1) * k];
-                let mut acc = 0.0f32;
-                for (&a, &b) in a_row.iter().zip(b_row) {
-                    acc += a * b;
-                }
-                *o = acc;
+        let mut bt = vec![0.0f32; k * n];
+        for j in 0..n {
+            for p in 0..k {
+                bt[p * n + j] = other.data[j * k + p];
             }
         }
+        let mut out = vec![0.0f32; m * n];
+        gemm_acc(m, n, k, &self.data, (k, 1), &bt, &mut out);
         Tensor::from_vec(&[m, n], out)
     }
 
@@ -349,9 +363,283 @@ impl Tensor {
     }
 }
 
+/// Rows of one full register block of [`gemm_acc`].
+const MR: usize = 4;
+/// Columns of one register block of [`gemm_acc`].
+const NR: usize = 8;
+
+/// The one product kernel: `c (m×n) += a (m×k) · b (k×n)`, with
+/// `a(i, p) = a[i * rs + p * cs]` for `(rs, cs) = a_strides` and `b`
+/// row-major.
+///
+/// Each `c[i][j]` receives one partial sum that starts at `+0.0` and adds
+/// `a(i, p) * b[p][j]` for `p` ascending: a separate multiply and add per
+/// step (Rust never contracts them into an FMA) and no reassociation. The
+/// sums are register-blocked, at most `MR × NR`, which vectorises across
+/// the `NR` independent columns without changing any one column's order.
+///
+/// A `p` step is skipped when `a(i, p)` is zero for every row of the block
+/// (sparse binary layer images keep that cheap). Skipping, or not skipping,
+/// a zero term is exact for finite operands: the partial sum starts at
+/// `+0.0` and so is never `-0.0`, and adding `±0.0` to it changes nothing.
+/// With infinite or NaN operands `0 · ∞` terms may differ from a loop that
+/// skips per element.
+fn gemm_acc(
+    m: usize,
+    n: usize,
+    k: usize,
+    a: &[f32],
+    a_strides: (usize, usize),
+    b: &[f32],
+    c: &mut [f32],
+) {
+    if m == 0 || n == 0 {
+        return;
+    }
+    // Zero-pad b's rows to whole NR-column panels; padded columns are
+    // computed and dropped.
+    let ldb = n.div_ceil(NR) * NR;
+    let padded;
+    let b = if ldb == n {
+        &b[..k * n]
+    } else {
+        let mut p = vec![0.0f32; k * ldb];
+        for (dst, src) in p.chunks_exact_mut(ldb).zip(b.chunks_exact(n)) {
+            dst[..n].copy_from_slice(src);
+        }
+        padded = p;
+        &padded[..]
+    };
+    let ops = Operands {
+        n,
+        k,
+        a,
+        a_strides,
+        b,
+        ldb,
+    };
+    let mut block = Block {
+        i0: 0,
+        a_pack: vec![0.0f32; k * MR],
+        skip: vec![false; k],
+    };
+    // Split the rows into as few blocks as MR allows, as evenly as possible:
+    // a short remainder block would run at a fraction of a full block's
+    // throughput (9 rows run as 3 + 3 + 3, not 4 + 4 + 1).
+    let blocks = m.div_ceil(MR);
+    for bi in 0..blocks {
+        block.i0 += match (m - block.i0).div_ceil(blocks - bi) {
+            1 => ops.rows::<1>(&mut block, c),
+            2 => ops.rows::<2>(&mut block, c),
+            3 => ops.rows::<3>(&mut block, c),
+            _ => ops.rows::<MR>(&mut block, c),
+        };
+    }
+}
+
+/// The operands of one [`gemm_acc`] call; `b` has `ldb` columns, the last
+/// `ldb - n` of them zero.
+struct Operands<'a> {
+    n: usize,
+    k: usize,
+    a: &'a [f32],
+    a_strides: (usize, usize),
+    b: &'a [f32],
+    ldb: usize,
+}
+
+/// The rows `i0..` of `a` being multiplied, packed once for every column
+/// panel: `a_pack[p * R + r] = a(i0 + r, p)`, and `skip[p]` when all of
+/// step `p` is zero.
+struct Block {
+    i0: usize,
+    a_pack: Vec<f32>,
+    skip: Vec<bool>,
+}
+
+impl Operands<'_> {
+    /// Adds rows `i0..i0 + R` of the product into `c`; returns `R`.
+    fn rows<const R: usize>(&self, block: &mut Block, c: &mut [f32]) -> usize {
+        let (n, (rs, cs), i0) = (self.n, self.a_strides, block.i0);
+        let a_pack = &mut block.a_pack[..self.k * R];
+        for (p, (slot, skip)) in a_pack.chunks_exact_mut(R).zip(&mut block.skip).enumerate() {
+            for (r, v) in slot.iter_mut().enumerate() {
+                *v = self.a[(i0 + r) * rs + p * cs];
+            }
+            *skip = slot.iter().all(|&x| x == 0.0);
+        }
+        for j0 in (0..n).step_by(NR) {
+            let acc = panel::<R>(a_pack, &block.skip, self.b, self.ldb, j0);
+            let nr = NR.min(n - j0);
+            for (r, acc_row) in acc.iter().enumerate() {
+                let at = (i0 + r) * n + j0;
+                for (o, &v) in c[at..at + nr].iter_mut().zip(acc_row) {
+                    *o += v;
+                }
+            }
+        }
+        R
+    }
+}
+
+/// One `R × NR` register block: packed rows times columns `j0..j0 + NR` of
+/// `b` (row stride `ldb`), over the non-skipped steps in ascending `p`.
+#[inline(always)]
+fn panel<const R: usize>(
+    a_pack: &[f32],
+    skip: &[bool],
+    b: &[f32],
+    ldb: usize,
+    j0: usize,
+) -> [[f32; NR]; R] {
+    let mut acc = [[0.0f32; NR]; R];
+    let steps = a_pack.chunks_exact(R).zip(b.chunks_exact(ldb));
+    for ((a, b_row), &skip) in steps.zip(skip) {
+        if skip {
+            continue;
+        }
+        let b_row = &b_row[j0..j0 + NR];
+        for (acc_row, &ar) in acc.iter_mut().zip(a) {
+            for (s, &bv) in acc_row.iter_mut().zip(b_row) {
+                *s += ar * bv;
+            }
+        }
+    }
+    acc
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// Reference `a (m×k) × b (k×n)`: the scalar loop the blocked kernel
+    /// replaced, kept to pin its reduction order.
+    fn ref_matmul(a: &Tensor, b: &Tensor) -> Tensor {
+        let (m, k) = a.dims2();
+        let (_, n) = b.dims2();
+        let mut out = vec![0.0f32; m * n];
+        for i in 0..m {
+            let o_row = &mut out[i * n..(i + 1) * n];
+            for (p, &av) in a.data[i * k..(i + 1) * k].iter().enumerate() {
+                if av == 0.0 {
+                    continue;
+                }
+                for (o, &bv) in o_row.iter_mut().zip(&b.data[p * n..(p + 1) * n]) {
+                    *o += av * bv;
+                }
+            }
+        }
+        Tensor::from_vec(&[m, n], out)
+    }
+
+    /// Reference `aᵀ (k×m)ᵀ × b (k×n)`.
+    fn ref_t_matmul(a: &Tensor, b: &Tensor) -> Tensor {
+        let (k, m) = a.dims2();
+        let (_, n) = b.dims2();
+        let mut out = vec![0.0f32; m * n];
+        for p in 0..k {
+            let b_row = &b.data[p * n..(p + 1) * n];
+            for (i, &av) in a.data[p * m..(p + 1) * m].iter().enumerate() {
+                if av == 0.0 {
+                    continue;
+                }
+                for (o, &bv) in out[i * n..(i + 1) * n].iter_mut().zip(b_row) {
+                    *o += av * bv;
+                }
+            }
+        }
+        Tensor::from_vec(&[m, n], out)
+    }
+
+    /// Reference `a (m×k) × bᵀ (n×k)ᵀ`: a sequential dot product per element.
+    fn ref_matmul_t(a: &Tensor, b: &Tensor) -> Tensor {
+        let (m, k) = a.dims2();
+        let (n, _) = b.dims2();
+        let mut out = vec![0.0f32; m * n];
+        for i in 0..m {
+            for j in 0..n {
+                let mut acc = 0.0f32;
+                for p in 0..k {
+                    acc += a.data[i * k + p] * b.data[j * k + p];
+                }
+                out[i * n + j] = acc;
+            }
+        }
+        Tensor::from_vec(&[m, n], out)
+    }
+
+    /// Finite operand with exact zeros (some `-0.0`), all-zero rows and
+    /// magnitudes spread over several decades.
+    fn operand(rows: usize, cols: usize, rng: &mut StdRng) -> Tensor {
+        let zero_row = rng.gen_range(0..rows + 2);
+        let data = (0..rows * cols)
+            .map(|i| match rng.gen_range(0u32..10) {
+                _ if i / cols == zero_row => 0.0,
+                0 | 1 => 0.0,
+                2 => -0.0,
+                _ => rng.gen_range(-1.0f32..1.0) * 10f32.powi(rng.gen_range(-3i32..4)),
+            })
+            .collect();
+        Tensor::from_vec(&[rows, cols], data)
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The blocked kernel is bit-identical to the scalar references in
+        /// all three products, at sizes on and off the register block.
+        #[test]
+        fn products_match_reference_bits(
+            m in 1usize..19,
+            n in 1usize..19,
+            k in 1usize..19,
+            seed in any::<u64>()
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let a = operand(m, k, &mut rng);
+            let b = operand(k, n, &mut rng);
+            prop_assert_eq!(bits(&a.matmul(&b)), bits(&ref_matmul(&a, &b)));
+            let at = operand(k, m, &mut rng);
+            prop_assert_eq!(bits(&at.t_matmul(&b)), bits(&ref_t_matmul(&at, &b)));
+            let bt = operand(n, k, &mut rng);
+            prop_assert_eq!(bits(&a.matmul_t(&bt)), bits(&ref_matmul_t(&a, &bt)));
+        }
+
+        /// A segmented `add_t_matmul` rounds exactly like adding one
+        /// reference product per segment, in segment order.
+        #[test]
+        fn segmented_t_matmul_matches_per_segment_adds(
+            m in 1usize..12,
+            n in 1usize..12,
+            lens in proptest::collection::vec(0usize..7, 1..5),
+            seed in any::<u64>()
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let k: usize = lens.iter().sum();
+            prop_assume!(k > 0);
+            let a = operand(k, m, &mut rng);
+            let b = operand(k, n, &mut rng);
+            let start = operand(m, n, &mut rng);
+            let mut expect = start.clone();
+            let mut row = 0;
+            for &len in &lens {
+                let seg_a = Tensor::from_vec(&[len, m], a.data[row * m..(row + len) * m].to_vec());
+                let seg_b = Tensor::from_vec(&[len, n], b.data[row * n..(row + len) * n].to_vec());
+                expect.add_assign(&ref_t_matmul(&seg_a, &seg_b));
+                row += len;
+            }
+            let mut got = start;
+            got.add_t_matmul(&a, &b, &lens);
+            prop_assert_eq!(bits(&got), bits(&expect));
+        }
+    }
 
     #[test]
     fn matmul_basic() {

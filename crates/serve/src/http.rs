@@ -16,9 +16,23 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// Largest accepted request body. Model blobs are a few MB of JSON; this is
-/// generous headroom, not a promise — anything larger answers `413`.
+/// Largest accepted body of a `PUT /models/{fp}` request. Model blobs are a
+/// few MB of JSON; this is generous headroom, not a promise — anything
+/// larger answers `400`.
 pub const MAX_BODY_BYTES: usize = 256 * 1024 * 1024;
+
+/// Largest accepted body on every other route. `POST /attack` specs are
+/// KB-sized, so one request must not make a worker buffer hundreds of MB.
+pub const MAX_SPEC_BODY_BYTES: usize = 1024 * 1024;
+
+/// The body limit of one route: only model uploads carry large bodies.
+fn body_limit(method: &str, path: &str) -> usize {
+    if method == "PUT" && path.starts_with("/models/") {
+        MAX_BODY_BYTES
+    } else {
+        MAX_SPEC_BODY_BYTES
+    }
+}
 
 /// Largest accepted request head (request line + headers). Anything a
 /// legitimate client of this API sends fits in a fraction of this; an
@@ -128,7 +142,8 @@ fn read_head_line(reader: &mut BufReader<std::io::Take<&mut TcpStream>>) -> Resu
 ///
 /// Returns a human-readable description when the bytes are not a parsable
 /// HTTP/1.x request, the head exceeds [`MAX_HEAD_BYTES`], or the body
-/// exceeds [`MAX_BODY_BYTES`]. Body memory grows with the bytes that
+/// exceeds its route's limit ([`MAX_BODY_BYTES`] for `PUT /models/{fp}`,
+/// [`MAX_SPEC_BODY_BYTES`] elsewhere). Body memory grows with the bytes that
 /// actually arrive, never with the declared `Content-Length` alone — a
 /// handful of cheap connections must not be able to pin gigabytes.
 pub fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
@@ -164,9 +179,10 @@ pub fn read_request(stream: &mut TcpStream) -> Result<Request, String> {
             }
         }
     }
-    if content_length > MAX_BODY_BYTES {
+    let limit = body_limit(&method, &path);
+    if content_length > limit {
         return Err(format!(
-            "body of {content_length} bytes exceeds the {MAX_BODY_BYTES}-byte limit"
+            "body of {content_length} bytes exceeds the {limit}-byte limit of {method} {path}"
         ));
     }
 
@@ -436,6 +452,37 @@ mod tests {
         let mut out = String::new();
         s.read_to_string(&mut out).expect("read");
         assert!(out.starts_with("HTTP/1.1 400"), "{out}");
+
+        // Routes other than model uploads are capped far lower: a 2 MiB
+        // `POST /attack` is refused from its head alone, a 2 MiB
+        // `PUT /models/…` is read whole.
+        let two_mib = vec![b'x'; 2 * 1024 * 1024];
+        let mut s = TcpStream::connect(server.addr).expect("connect");
+        s.write_all(
+            format!(
+                "POST /attack HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+                two_mib.len()
+            )
+            .as_bytes(),
+        )
+        .expect("write");
+        let mut out = String::new();
+        s.read_to_string(&mut out).expect("read");
+        assert!(out.starts_with("HTTP/1.1 400"), "{out}");
+        assert!(out.contains("1048576-byte limit"), "{out}");
+        let base = format!("http://{}", server.addr);
+        let r = httpc::put(
+            &format!("{base}/models/ab"),
+            &two_mib,
+            Duration::from_secs(10),
+        )
+        .expect("request");
+        assert_eq!(r.status, 200);
+        assert_eq!(
+            r.body_str().unwrap(),
+            format!("PUT /models/ab {}", two_mib.len())
+        );
+        server.shutdown();
     }
 
     #[test]
